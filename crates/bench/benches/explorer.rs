@@ -1,9 +1,12 @@
 //! Criterion benches for the explorer: DFS throughput at different
-//! budgets, Pareto-front extraction, and the decision maker.
+//! budgets, a serve-shaped exploration, Pareto-front extraction, and
+//! the decision maker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnnav_estimator::{GrayBoxEstimator, Profiler};
-use gnnav_explorer::{decide, pareto_front_indices, DfsExplorer, Priority, RuntimeConstraints};
+use gnnav_explorer::{
+    decide, pareto_front_indices, DfsExplorer, Explorer, Priority, RuntimeConstraints,
+};
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
@@ -41,6 +44,42 @@ fn bench_dfs_budgets(c: &mut Criterion) {
                     &RuntimeConstraints::none(),
                     &[],
                 )
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One exploration as the serve pool runs it: a 1380-node synthetic
+/// tenant graph, the serve budgets (reduced 100, full 400), and seed 2,
+/// whose first restart fixes a dead (cache ratio, cache policy) pair at
+/// depth 2 — a subtree of about 10k invalid leaves that the DFS walked
+/// before it learned to cut dead subtrees.
+fn bench_serve_shaped(c: &mut Criterion) {
+    let tenant = Dataset::synthetic(1380, 5, 32, 16, 7).expect("tenant graph");
+    let calibration = Dataset::synthetic(600, 3, 32, 8, 0x5E21).expect("calibration graph");
+    let platform = Platform::default_rtx4090();
+    let profiler =
+        Profiler::new(RuntimeBackend::new(platform.clone()), ExecutionOptions::timing_only());
+    let configs = DesignSpace::standard().sample(24, ModelKind::Sage, 13);
+    let db = profiler.profile(&calibration, &configs).expect("profile");
+    let mut est = GrayBoxEstimator::new();
+    est.fit(&db).expect("fit");
+    let mut group = c.benchmark_group("serve_shaped_exploration");
+    group.sample_size(20);
+    for budget in [100usize, 400] {
+        group.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &budget| {
+            let explorer = Explorer::new(&est, budget).with_seed(2);
+            b.iter(|| {
+                explorer
+                    .explore(
+                        &tenant,
+                        &platform,
+                        ModelKind::Sage,
+                        Priority::Balance,
+                        &RuntimeConstraints::none(),
+                    )
+                    .expect("explore")
             });
         });
     }
@@ -111,6 +150,7 @@ fn bench_search_strategy_ablation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dfs_budgets,
+    bench_serve_shaped,
     bench_pareto_and_decision,
     bench_search_strategy_ablation
 );

@@ -182,12 +182,11 @@ pub(crate) fn config_key(config: &TrainingConfig) -> Vec<u8> {
 /// Reusable per-(dataset, platform) prediction inputs plus a per-run
 /// memo of completed predictions.
 ///
-/// [`Context::new`] recomputes `dataset.stats()` — an O(|V| + |E|)
-/// edge scan — on every call, which dominates prediction cost when an
-/// explorer queries hundreds of candidates against one dataset. A
+/// [`Context::new`] reads the dataset's statistics (computed once when
+/// the dataset was built) and clones the platform on every call. A
 /// `PredictionContext` hoists that work: build it once, then
-/// [`context`](Self::context) assembles a candidate [`Context`] in
-/// O(1).
+/// [`context`](Self::context) assembles a candidate [`Context`] from
+/// the precomputed fields without touching the dataset.
 ///
 /// The memo backs
 /// [`GrayBoxEstimator::predict_batch`](crate::GrayBoxEstimator::predict_batch):

@@ -22,7 +22,7 @@ use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_runtime::checkpoint::{get_config, put_config};
 use gnnav_runtime::TrainingConfig;
-use gnnav_store::{ByteReader, ByteWriter, StoreError, Wal};
+use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -68,24 +68,10 @@ fn put_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
     w.put_f64(ctx.feat_dim);
     w.put_f64(ctx.num_classes);
     w.put_f64(ctx.num_train);
-    let p = &ctx.platform;
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_f64(p.device.fp16_speedup);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
+    ctx.platform.encode(w);
 }
 
 fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
-    use gnnav_hwsim::{DeviceProfile, HostProfile, LinkProfile};
     let id = dataset_from_tag(r.get_u8()?)?;
     let config = get_config(r)?;
     let num_nodes = r.get_f64()?;
@@ -96,22 +82,7 @@ fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
     let feat_dim = r.get_f64()?;
     let num_classes = r.get_f64()?;
     let num_train = r.get_f64()?;
-    let host = HostProfile {
-        name: r.get_str()?,
-        sample_mvps: r.get_f64()?,
-        mem_bandwidth_gbs: r.get_f64()?,
-        iteration_overhead_us: r.get_f64()?,
-    };
-    let device = DeviceProfile {
-        name: r.get_str()?,
-        compute_tflops: r.get_f64()?,
-        mem_bandwidth_gbs: r.get_f64()?,
-        mem_capacity_bytes: r.get_usize()?,
-        launch_overhead_us: r.get_f64()?,
-        fp16_speedup: r.get_f64()?,
-    };
-    let link =
-        LinkProfile { name: r.get_str()?, bandwidth_gbs: r.get_f64()?, latency_us: r.get_f64()? };
+    let platform = Platform::decode(r)?;
     Ok((
         id,
         Context {
@@ -124,21 +95,9 @@ fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
             feat_dim,
             num_classes,
             num_train,
-            platform: Platform { host, device, link },
+            platform,
         },
     ))
-}
-
-/// FNV-1a over the canonical key bytes — stable across runs and
-/// platforms (everything is encoded little-endian with raw float
-/// bits).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The canonical fingerprint of profiling `config` on `dataset` over
@@ -387,6 +346,9 @@ mod tests {
         let config = TrainingConfig::default();
         let base = profile_fingerprint(&dataset, &platform, &config);
         assert_eq!(base, profile_fingerprint(&dataset, &platform, &config), "deterministic");
+        // Stored records are keyed by this digest: a change to the
+        // encoding makes every existing store re-profile.
+        assert_eq!(base, 0x4ad1_b730_a79c_3a19, "profile fingerprint encoding changed");
         let mut c2 = config.clone();
         c2.batch_size += 1;
         assert_ne!(base, profile_fingerprint(&dataset, &platform, &c2));

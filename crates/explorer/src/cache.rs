@@ -35,7 +35,7 @@ use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::checkpoint::{get_config, put_config};
 use gnnav_runtime::DesignSpace;
-use gnnav_store::{ByteReader, ByteWriter, StoreError, Wal};
+use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -103,17 +103,6 @@ fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
     })
 }
 
-/// FNV-1a over canonical key bytes — stable across runs and platforms
-/// (everything is encoded little-endian with raw float bits).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// The canonical fingerprint of one exploration: everything the search
 /// conditions on must be covered, or two different explorations would
 /// collide and serve each other's results.
@@ -148,20 +137,7 @@ pub fn explore_fingerprint(
     w.put_f64(dataset.feat_dim() as f64);
     w.put_f64(dataset.num_classes() as f64);
     w.put_f64(dataset.split().train.len() as f64);
-    let p = platform;
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_f64(p.device.fp16_speedup);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
+    platform.encode(&mut w);
     w.put_str(&format!("{model:?}"));
     // The design space and constraints are structs of plain values with
     // derived Debug — the rendering is canonical and covers every axis
@@ -524,6 +500,9 @@ mod tests {
         };
         let base = fp(Priority::Balance, &none, 200, 7, "s");
         assert_eq!(base, fp(Priority::Balance, &none, 200, 7, "s"), "deterministic");
+        // Stored entries are keyed by this digest: a change to the
+        // encoding makes every existing cache miss.
+        assert_eq!(base, 0x79c1_681f_5eeb_bdac, "explore fingerprint encoding changed");
         assert_ne!(base, fp(Priority::ExTimeMemory, &none, 200, 7, "s"));
         let tight = RuntimeConstraints { max_time_s: Some(1.0), ..none };
         assert_ne!(base, fp(Priority::Balance, &tight, 200, 7, "s"));

@@ -18,6 +18,28 @@
 //! exactly the serial traversal's order. Predictions are pure given
 //! the context and the pool's chunking is static, so the outcome is
 //! byte-identical to a serial evaluation loop at every thread count.
+//!
+//! # Dead-subtree cut
+//!
+//! About 40% of the standard space's leaves are invalid (a cache policy
+//! that disagrees with the cache ratio, or a static policy with
+//! `cache_update = true`), and a restart that fixes such a pair near
+//! the root would otherwise walk every leaf below it. The walk checks
+//! [`DesignSpace::is_dead`] on each partial assignment — the same rule
+//! [`DesignSpace::config_at`] applies at full depth — and skips a dead
+//! subtree without descending. The decisions recorded are exactly
+//! those of the walk that visits every leaf:
+//!
+//! - a dead subtree holds no valid leaf, so it would record no `Eval`
+//!   step and spend no budget; its leaves are absent from the visited
+//!   set too, but that set only suppresses leaves that would evaluate;
+//! - `Prune` steps are recorded only on reaching the cache-ratio axis,
+//!   where the memory bound is checked before the dead-subtree rule; a
+//!   dead subtree above that axis is cut only when no ratio trips the
+//!   bound, so no prune decision can hide inside it.
+//!
+//! Leaves are keyed in the visited set by their mixed-radix ordinal
+//! ([`DesignSpace::ordinal`]), so recording one clones no index vector.
 
 use crate::audit::{AuditAction, AuditRecord};
 use crate::pareto::{objectives, ParetoFront};
@@ -31,6 +53,7 @@ use gnnav_runtime::{DesignSpace, TrainingConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 /// A candidate evaluated by the estimator during exploration.
 #[derive(Debug, Clone)]
@@ -162,7 +185,8 @@ impl DfsExplorer {
         // expands into one wave, flushed at its end.
         let mut rng = StdRng::seed_from_u64(self.seed);
         let per_restart = self.budget.div_ceil(DFS_RESTARTS).max(1);
-        let mut visited = std::collections::HashSet::new();
+        let ratio_prunes = self.ratio_prunes(dataset, constraints);
+        let mut visited = HashSet::new();
         let mut spent = 0usize;
         while spent < self.budget {
             let mut axis_order: Vec<usize> = (0..self.space.num_axes()).collect();
@@ -174,22 +198,20 @@ impl DfsExplorer {
                     idx
                 })
                 .collect();
-            let mut assignment = vec![0usize; self.space.num_axes()];
-            let restart_budget = (self.budget - spent).min(per_restart);
-            let mut restart_evals = 0usize;
-            self.expand(
-                0,
-                &mut assignment,
-                &axis_order,
-                &orders,
-                dataset,
+            let mut walk = Walk {
+                space: &self.space,
                 model,
-                constraints,
-                restart_budget,
-                &mut restart_evals,
-                &mut visited,
-                &mut wave,
-            );
+                axis_order: &axis_order,
+                orders: &orders,
+                ratio_prunes: &ratio_prunes,
+                budget: (self.budget - spent).min(per_restart),
+                evals: 0,
+                assignment: vec![0usize; self.space.num_axes()],
+                visited: &mut visited,
+                wave: &mut wave,
+            };
+            walk.expand(0, 0);
+            let restart_evals = walk.evals;
             self.flush_wave(
                 estimator,
                 &mut pctx,
@@ -329,77 +351,102 @@ impl DfsExplorer {
         }
     }
 
-    /// The serial frontier expansion of one restart: a plain DFS that
-    /// records every decision — leaf to evaluate, subtree to prune —
-    /// into `wave` without touching the estimator. Traversal order,
-    /// pruning, visited-set, and budget accounting are identical to
-    /// evaluating inline (none of them depend on estimates).
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
+    /// The analytic lower-bound prune decision for each cache-ratio
+    /// index: once the cache-ratio axis is fixed, Γ_cache alone already
+    /// lower-bounds memory (Eq. 10), so a ratio whose bound exceeds the
+    /// memory budget cuts its subtree without querying the estimator.
+    /// `None` where the ratio fits (or no memory budget is set).
+    fn ratio_prunes(
         &self,
-        depth: usize,
-        assignment: &mut Vec<usize>,
-        axis_order: &[usize],
-        orders: &[Vec<usize>],
         dataset: &Dataset,
-        model: ModelKind,
         constraints: &RuntimeConstraints,
-        budget: usize,
-        evals: &mut usize,
-        visited: &mut std::collections::HashSet<Vec<usize>>,
-        wave: &mut Vec<WaveStep>,
-    ) {
-        if *evals >= budget {
+    ) -> Vec<Option<(String, String)>> {
+        let axis_name = self.space.axis_name(DesignSpace::CACHE_RATIO_AXIS);
+        let min_row_bytes = dataset.feat_dim() as f64 * 2.0; // FP16 floor
+        self.space
+            .cache_ratios
+            .iter()
+            .map(|&ratio| {
+                let max_mem = constraints.max_mem_bytes?;
+                let cache_lb = ratio * dataset.num_nodes() as f64 * min_row_bytes;
+                (cache_lb > max_mem).then(|| {
+                    let subtree = format!("subtree {axis_name}={ratio}");
+                    let reason = format!(
+                        "cache memory lower bound {:.2} MB > max {:.2} MB",
+                        cache_lb / 1e6,
+                        max_mem / 1e6
+                    );
+                    (subtree, reason)
+                })
+            })
+            .collect()
+    }
+}
+
+/// The serial frontier expansion of one restart: a plain DFS that
+/// records every decision — leaf to evaluate, subtree to prune — into
+/// `wave` without touching the estimator. Traversal order, pruning,
+/// visited-set, and budget accounting are identical to evaluating
+/// inline (none of them depend on estimates).
+struct Walk<'a> {
+    space: &'a DesignSpace,
+    model: ModelKind,
+    /// Axis assigned at each depth.
+    axis_order: &'a [usize],
+    /// Value order per axis.
+    orders: &'a [Vec<usize>],
+    /// Prune decision per cache-ratio index (`(subtree, reason)`).
+    ratio_prunes: &'a [Option<(String, String)>],
+    /// Leaves this restart may still evaluate, and those it has.
+    budget: usize,
+    evals: usize,
+    /// Per-axis value indices; only the axes in the current path's
+    /// assigned mask are meaningful.
+    assignment: Vec<usize>,
+    /// Ordinals of the leaves reached by every restart so far.
+    visited: &'a mut HashSet<u64>,
+    wave: &'a mut Vec<WaveStep>,
+}
+
+impl Walk<'_> {
+    /// Expands the node at `depth`, whose axes `axis_order[..depth]`
+    /// are the ones set in `assigned`.
+    fn expand(&mut self, depth: usize, assigned: u32) {
+        if self.evals >= self.budget {
             return;
         }
         if depth == self.space.num_axes() {
-            if !visited.insert(assignment.clone()) {
+            if !self.visited.insert(self.space.ordinal(&self.assignment)) {
                 return; // already evaluated in a previous restart
             }
-            if let Some(config) = self.space.config_at(assignment, model) {
-                wave.push(WaveStep::Eval { config, seed_candidate: false });
-                *evals += 1;
+            if let Some(config) = self.space.config_at(&self.assignment, self.model) {
+                self.wave.push(WaveStep::Eval { config, seed_candidate: false });
+                self.evals += 1;
             }
             return;
         }
-        let axis = axis_order[depth];
+        let axis = self.axis_order[depth];
+        let assigned = assigned | 1 << axis;
+        // A dead subtree holds no valid leaf, but until the cache-ratio
+        // axis is fixed it may still hold prune decisions, which the
+        // audit records; cut it only when it holds none.
+        let may_cut = assigned & (1 << DesignSpace::CACHE_RATIO_AXIS) != 0
+            || self.ratio_prunes.iter().all(Option::is_none);
+        let orders = self.orders;
         for &value in &orders[axis] {
-            assignment[axis] = value;
-            // Analytic lower-bound pruning: once the cache-ratio axis
-            // is fixed, Γ_cache alone already lower-bounds memory
-            // (Eq. 10) — subtrees that must exceed the budget are cut
-            // without querying the estimator.
-            if axis == CACHE_RATIO_AXIS {
-                if let Some(max_mem) = constraints.max_mem_bytes {
-                    let ratio = self.space.cache_ratios[value];
-                    let min_row_bytes = dataset.feat_dim() as f64 * 2.0; // FP16 floor
-                    let cache_lb = ratio * dataset.num_nodes() as f64 * min_row_bytes;
-                    if cache_lb > max_mem {
-                        let subtree = format!("subtree {}={ratio}", self.space.axis_name(axis));
-                        let reason = format!(
-                            "cache memory lower bound {:.2} MB > max {:.2} MB",
-                            cache_lb / 1e6,
-                            max_mem / 1e6
-                        );
-                        wave.push(WaveStep::Prune { subtree, reason });
-                        continue;
-                    }
+            self.assignment[axis] = value;
+            if axis == DesignSpace::CACHE_RATIO_AXIS {
+                if let Some((subtree, reason)) = &self.ratio_prunes[value] {
+                    self.wave
+                        .push(WaveStep::Prune { subtree: subtree.clone(), reason: reason.clone() });
+                    continue;
                 }
             }
-            self.expand(
-                depth + 1,
-                assignment,
-                axis_order,
-                orders,
-                dataset,
-                model,
-                constraints,
-                budget,
-                evals,
-                visited,
-                wave,
-            );
-            if *evals >= budget {
+            if may_cut && self.space.is_dead(&self.assignment, assigned) {
+                continue;
+            }
+            self.expand(depth + 1, assigned);
+            if self.evals >= self.budget {
                 return;
             }
         }
@@ -428,10 +475,6 @@ enum WaveStep {
 
 /// Number of DFS restarts a budget is split across.
 const DFS_RESTARTS: usize = 16;
-
-/// Index of the cache-ratio axis in [`DesignSpace`] (see
-/// `DesignSpace::axis_name`).
-const CACHE_RATIO_AXIS: usize = 4;
 
 #[cfg(test)]
 mod tests {

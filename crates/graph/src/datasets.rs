@@ -21,6 +21,7 @@ use crate::GraphError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Identifier of a benchmark dataset stand-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -183,6 +184,9 @@ pub struct Dataset {
     communities: Vec<u32>,
     features: Features,
     split: Split,
+    /// Computed on first use and kept: the stats depend only on the
+    /// graph and the communities, which nothing mutates afterwards.
+    stats: OnceLock<GraphStats>,
 }
 
 impl Dataset {
@@ -225,7 +229,7 @@ impl Dataset {
             .with_label_noise(r.label_noise);
         let features = Features::synthesize(&communities, &spec, r.seed ^ 0xFEED);
         let split = Split::random(nodes, r.seed ^ 0x5EED);
-        Ok(Dataset { id, scale, graph, communities, features, split })
+        Ok(Dataset { id, scale, graph, communities, features, split, stats: OnceLock::new() })
     }
 
     /// Generates a random power-law dataset for estimator data
@@ -253,7 +257,15 @@ impl Dataset {
         let spec = FeatureSpec::new(feat_dim, num_classes).with_noise(1.8).with_label_noise(0.12);
         let features = Features::synthesize(&communities, &spec, seed ^ 0xFEED);
         let split = Split::random(num_nodes, seed ^ 0x5EED);
-        Ok(Dataset { id: DatasetId::Synthetic, scale: 1.0, graph, communities, features, split })
+        Ok(Dataset {
+            id: DatasetId::Synthetic,
+            scale: 1.0,
+            graph,
+            communities,
+            features,
+            split,
+            stats: OnceLock::new(),
+        })
     }
 
     /// Dataset identifier.
@@ -319,9 +331,10 @@ impl Dataset {
         self.features.num_classes()
     }
 
-    /// Structural statistics (with community mixing).
-    pub fn stats(&self) -> GraphStats {
-        GraphStats::with_communities(&self.graph, &self.communities)
+    /// Structural statistics (with community mixing), computed on the
+    /// first call only.
+    pub fn stats(&self) -> &GraphStats {
+        self.stats.get_or_init(|| GraphStats::with_communities(&self.graph, &self.communities))
     }
 }
 
@@ -365,6 +378,15 @@ mod tests {
         assert_eq!(d.feat_dim(), 150);
         assert_eq!(d.num_classes(), 41);
         assert_eq!(d.split().train.len() + d.split().val.len() + d.split().test.len(), n);
+    }
+
+    #[test]
+    fn cached_stats_match_a_fresh_scan_and_survive_with_split() {
+        let d = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
+        let fresh = GraphStats::with_communities(d.graph(), d.communities());
+        assert_eq!(*d.stats(), fresh);
+        let resplit = d.with_split(Split::random(fresh.num_nodes, 3)).expect("split");
+        assert_eq!(*resplit.stats(), fresh);
     }
 
     #[test]

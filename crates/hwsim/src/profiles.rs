@@ -8,6 +8,7 @@
 //! between compute, link, and host-sampling throughput, which these
 //! presets preserve.
 
+use gnnav_store::{ByteReader, ByteWriter, StoreError};
 use serde::{Deserialize, Serialize};
 
 /// A compute device ("device" in the paper: GPU, FPGA, accelerator).
@@ -187,6 +188,66 @@ impl Platform {
             link: LinkProfile::pcie3(),
         }
     }
+
+    /// Appends the canonical encoding of every field — the bytes every
+    /// platform-keyed fingerprint and stored key is built from. The
+    /// exhaustive destructuring makes a new field a compile error here
+    /// rather than a silent cache-key collision.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        let Platform { host, device, link } = self;
+        let HostProfile { name, sample_mvps, mem_bandwidth_gbs, iteration_overhead_us } = host;
+        w.put_str(name);
+        w.put_f64(*sample_mvps);
+        w.put_f64(*mem_bandwidth_gbs);
+        w.put_f64(*iteration_overhead_us);
+        let DeviceProfile {
+            name,
+            compute_tflops,
+            mem_bandwidth_gbs,
+            mem_capacity_bytes,
+            launch_overhead_us,
+            fp16_speedup,
+        } = device;
+        w.put_str(name);
+        w.put_f64(*compute_tflops);
+        w.put_f64(*mem_bandwidth_gbs);
+        w.put_usize(*mem_capacity_bytes);
+        w.put_f64(*launch_overhead_us);
+        w.put_f64(*fp16_speedup);
+        let LinkProfile { name, bandwidth_gbs, latency_us } = link;
+        w.put_str(name);
+        w.put_f64(*bandwidth_gbs);
+        w.put_f64(*latency_us);
+    }
+
+    /// Reads back a platform written by [`Platform::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] when the bytes run out or a string is not
+    /// valid UTF-8.
+    pub fn decode(r: &mut ByteReader) -> Result<Self, StoreError> {
+        let host = HostProfile {
+            name: r.get_str()?,
+            sample_mvps: r.get_f64()?,
+            mem_bandwidth_gbs: r.get_f64()?,
+            iteration_overhead_us: r.get_f64()?,
+        };
+        let device = DeviceProfile {
+            name: r.get_str()?,
+            compute_tflops: r.get_f64()?,
+            mem_bandwidth_gbs: r.get_f64()?,
+            mem_capacity_bytes: r.get_usize()?,
+            launch_overhead_us: r.get_f64()?,
+            fp16_speedup: r.get_f64()?,
+        };
+        let link = LinkProfile {
+            name: r.get_str()?,
+            bandwidth_gbs: r.get_f64()?,
+            latency_us: r.get_f64()?,
+        };
+        Ok(Platform { host, device, link })
+    }
 }
 
 const GB: usize = 1_000_000_000;
@@ -194,6 +255,18 @@ const GB: usize = 1_000_000_000;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn encoding_roundtrips_every_field() {
+        let mut p = Platform::default_a100();
+        p.device.fp16_speedup = 3.5;
+        let mut w = ByteWriter::new();
+        p.encode(&mut w);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(Platform::decode(&mut r).expect("decode"), p);
+        assert!(r.is_exhausted());
+    }
 
     #[test]
     fn presets_are_distinct_and_plausible() {

@@ -52,6 +52,16 @@ pub struct DesignSpace {
 }
 
 impl DesignSpace {
+    /// Axis index of the cache ratios `r`.
+    pub const CACHE_RATIO_AXIS: usize = 4;
+    /// Axis index of the cache policies.
+    pub const CACHE_POLICY_AXIS: usize = 5;
+    /// Axis index of the cache-update flags.
+    pub const CACHE_UPDATE_AXIS: usize = 6;
+    /// The assigned-axis mask of a full assignment (see
+    /// [`DesignSpace::is_dead`]).
+    pub const ALL_AXES: u32 = (1 << 11) - 1;
+
     /// The full space used by the guideline explorer.
     pub fn standard() -> Self {
         DesignSpace {
@@ -120,7 +130,7 @@ impl DesignSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `axis >= 10`.
+    /// Panics if `axis >= 11`.
     pub fn axis_len(&self, axis: usize) -> usize {
         match axis {
             0 => self.samplers.len(),
@@ -160,9 +170,50 @@ impl DesignSpace {
         }
     }
 
+    /// Whether the partial assignment `indices` already breaks the
+    /// cache-axis validity rule, so that no completion of it is valid.
+    /// Bit `a` of `assigned` marks axis `a` as assigned; the indices of
+    /// the other axes are ignored. The rule:
+    ///
+    /// - no-cache ⇔ ratio 0: a positive ratio with the `none` policy,
+    ///   or `r = 0` with a real policy, duplicates another point;
+    /// - a frozen *static* cache is the same point as update=true for
+    ///   non-dynamic policies, so only update=false is kept there
+    ///   (when the space offers both).
+    ///
+    /// [`DesignSpace::config_at`] applies the same rule at full depth.
+    pub fn is_dead(&self, indices: &[usize], assigned: u32) -> bool {
+        let has = |axis: usize| assigned & (1 << axis) != 0;
+        if !has(Self::CACHE_POLICY_AXIS) {
+            return false;
+        }
+        let policy = self.cache_policies[indices[Self::CACHE_POLICY_AXIS]];
+        if has(Self::CACHE_RATIO_AXIS) {
+            let ratio = self.cache_ratios[indices[Self::CACHE_RATIO_AXIS]];
+            if (policy == CachePolicy::None) != (ratio == 0.0) {
+                return true;
+            }
+        }
+        has(Self::CACHE_UPDATE_AXIS)
+            && !policy.is_dynamic()
+            && self.cache_updates[indices[Self::CACHE_UPDATE_AXIS]]
+            && self.cache_updates.len() > 1
+    }
+
+    /// The mixed-radix ordinal of a full assignment: its position in
+    /// the lexicographic axis order of [`DesignSpace::enumerate`],
+    /// invalid points included. Distinct assignments get distinct
+    /// ordinals, all below [`DesignSpace::size`].
+    pub fn ordinal(&self, indices: &[usize]) -> u64 {
+        indices
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (axis, &i)| acc * self.axis_len(axis) as u64 + i as u64)
+    }
+
     /// Builds the configuration at the given per-axis indices, or
-    /// `None` when the combination is invalid (e.g. a positive cache
-    /// ratio with the `none` policy, or `r = 0` with a real policy).
+    /// `None` when the combination is invalid (see
+    /// [`DesignSpace::is_dead`]).
     ///
     /// # Panics
     ///
@@ -172,17 +223,7 @@ impl DesignSpace {
         // Internal invariant: index vectors are produced by the
         // explorer's own traversal, never parsed from user input.
         assert_eq!(indices.len(), self.num_axes(), "one index per axis");
-        let policy = self.cache_policies[indices[5]];
-        let ratio = self.cache_ratios[indices[4]];
-        // Canonical validity: no-cache ⇔ ratio 0 (avoids duplicate
-        // equivalent points in the space).
-        if (policy == CachePolicy::None) != (ratio == 0.0) {
-            return None;
-        }
-        // A frozen *static* cache is the same point as update=true for
-        // non-dynamic policies; keep only update=false there.
-        let update = self.cache_updates[indices[6]];
-        if !policy.is_dynamic() && update && self.cache_updates.len() > 1 {
+        if self.is_dead(indices, Self::ALL_AXES) {
             return None;
         }
         let config = TrainingConfig {
@@ -190,9 +231,9 @@ impl DesignSpace {
             fanouts: self.fanout_options[indices[1]].clone(),
             locality_eta: self.etas[indices[2]],
             batch_size: self.batch_sizes[indices[3]],
-            cache_ratio: ratio,
-            cache_policy: policy,
-            cache_update: update,
+            cache_ratio: self.cache_ratios[indices[Self::CACHE_RATIO_AXIS]],
+            cache_policy: self.cache_policies[indices[Self::CACHE_POLICY_AXIS]],
+            cache_update: self.cache_updates[indices[Self::CACHE_UPDATE_AXIS]],
             pipelined: self.pipelined[indices[7]],
             precision: self.precisions[indices[8]],
             model,
@@ -287,6 +328,24 @@ mod tests {
         indices[4] = ratio_idx;
         indices[5] = none_idx;
         assert!(s.config_at(&indices, ModelKind::Gcn).is_none());
+    }
+
+    #[test]
+    fn ordinal_counts_in_enumeration_order() {
+        let s = DesignSpace::reduced();
+        let mut indices = vec![0usize; s.num_axes()];
+        for expected in 0..s.size() as u64 {
+            assert_eq!(s.ordinal(&indices), expected);
+            let mut axis = s.num_axes();
+            while axis > 0 {
+                axis -= 1;
+                indices[axis] += 1;
+                if indices[axis] < s.axis_len(axis) {
+                    break;
+                }
+                indices[axis] = 0;
+            }
+        }
     }
 
     #[test]

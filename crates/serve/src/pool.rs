@@ -8,34 +8,14 @@
 use gnnav_estimator::GrayBoxEstimator;
 use gnnav_hwsim::Platform;
 use gnnav_obs::names as metric;
-use gnnav_store::ByteWriter;
+use gnnav_store::{fnv1a64, ByteWriter};
 
-/// FNV-1a 64-bit over `bytes` (same constants as the store codecs).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Fingerprints every field of a [`Platform`]: two platforms share a
-/// pooled estimator only when they are byte-identical.
+/// Fingerprints every field of a [`Platform`] (via
+/// [`Platform::encode`]): two platforms share a pooled estimator only
+/// when they are byte-identical.
 pub fn platform_fingerprint(p: &Platform) -> u64 {
     let mut w = ByteWriter::new();
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
+    p.encode(&mut w);
     fnv1a64(&w.finish())
 }
 
@@ -156,6 +136,22 @@ mod tests {
         assert_ne!(b, c);
         // Byte-identical platforms fingerprint identically.
         assert_eq!(a, platform_fingerprint(&Platform::default_rtx4090()));
+    }
+
+    #[test]
+    fn platforms_differing_only_in_fp16_speedup_do_not_share_a_fit() {
+        // The cost model reads `fp16_speedup`, so a fit calibrated on
+        // one of these platforms is wrong for the other.
+        let base = Platform::default_rtx4090();
+        let mut faster_fp16 = base.clone();
+        faster_fp16.device.fp16_speedup *= 2.0;
+        let (a, b) = (platform_fingerprint(&base), platform_fingerprint(&faster_fp16));
+        assert_ne!(a, b);
+        let mut pool = EstimatorPool::new(4);
+        pool.get_or_insert_with(a, || dummy(a)).unwrap();
+        let (_, hit) = pool.get_or_insert_with(b, || dummy(b)).unwrap();
+        assert!(!hit, "the second platform must calibrate its own fit");
+        assert_eq!(pool.misses(), 2);
     }
 
     #[test]

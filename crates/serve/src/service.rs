@@ -37,7 +37,7 @@ use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
-use gnnav_store::{ByteWriter, StoreError};
+use gnnav_store::{fnv1a64, ByteWriter, StoreError};
 
 use crate::pool::{platform_fingerprint, EstimatorPool};
 use crate::request::{AdmitError, DegradeLevel, NavRequest, NavResponse, ServeTier};
@@ -478,13 +478,7 @@ impl NavService {
         w.put_str(&format!("{model:?}"));
         w.put_str(priority.label());
         w.put_str(&format!("{constraints:?}"));
-        let bytes = w.finish();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a64(&w.finish())
     }
 
     /// Squared Euclidean distance between shape vectors.
